@@ -16,42 +16,28 @@
 //! recovered state is asserted equal to the live engine's — the bench
 //! doubles as a smoke test.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use ode_bench::{bolt, tmp_dir};
 use ode_core::Value;
-use ode_db::{demo, Database, DiskWal, FsyncPolicy, LogOp, SharedIo, StdIo, WalConfig};
+use ode_db::{demo, Database, DiskWal, FsyncPolicy, LogOp, ObjectId, SharedIo, StdIo, WalConfig};
 
 const TXNS: usize = 2_000;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e12-wal-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The workload: TXNS committed withdrawals, one in eight large enough
 /// to fire T6 (so the log carries trigger traffic, not just writes).
-fn session(db: &mut Database, room: ode_db::ObjectId) {
+fn session(db: &mut Database, room: ObjectId) {
     for k in 0..TXNS {
         let q = if k % 8 == 0 { 150 } else { 5 };
         demo::withdraw_txn(db, "alice", room, "bolt", q as i64).unwrap();
     }
 }
 
-fn bolt(db: &Database) -> i64 {
-    let items = db.peek_field(ode_db::ObjectId(1), "items").expect("items");
-    items
-        .member("bolt")
-        .and_then(Value::as_int)
-        .expect("bolt is an int")
-}
-
 /// One measured run under `fsync`. Returns (txns/sec, log bytes,
 /// recovery seconds).
 fn run_policy(tag: &str, fsync: FsyncPolicy) -> (f64, u64, f64) {
-    let dir = tmp_dir(tag);
+    let dir = tmp_dir("e12-wal", tag);
     let cfg = WalConfig {
         fsync,
         ..WalConfig::default()
@@ -91,7 +77,11 @@ fn run_policy(tag: &str, fsync: FsyncPolicy) -> (f64, u64, f64) {
     db2.define_class(demo::stockroom_class()).unwrap();
     recovery.restore_into(&mut db2).expect("restore");
     let rec_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(bolt(&db2), bolt(&db), "recovery is exact");
+    assert_eq!(
+        bolt(&db2, ObjectId(1)),
+        bolt(&db, ObjectId(1)),
+        "recovery is exact"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
     (TXNS as f64 / secs, log_bytes, rec_secs)

@@ -27,6 +27,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ode_bench::tmp_dir;
 use ode_core::Value;
 use ode_db::{Database, SharedDatabase, WalConfig};
 use ode_server::spec::stockroom_spec;
@@ -35,12 +36,6 @@ use ode_server::{Client, ReplSource, Server};
 const TXNS: usize = 400;
 /// Every eighth withdrawal is large enough to fire T6.
 const FIRINGS: usize = TXNS / 8;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e13-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn start_primary(dir: &Path) -> Server {
     Server::builder(SharedDatabase::new(Database::new()))
@@ -88,7 +83,7 @@ struct Row {
 }
 
 fn run_config(n: usize) -> Row {
-    let pdir = tmp_dir(&format!("p{n}"));
+    let pdir = tmp_dir("e13-repl", &format!("p{n}"));
     let primary = start_primary(&pdir);
     let paddr = primary.tcp_addr().expect("tcp");
     let mut pc = Client::connect_tcp(paddr).expect("connect");
@@ -108,7 +103,9 @@ fn run_config(n: usize) -> Row {
         })
         .expect("room");
 
-    let rdirs: Vec<PathBuf> = (0..n).map(|i| tmp_dir(&format!("r{n}-{i}"))).collect();
+    let rdirs: Vec<PathBuf> = (0..n)
+        .map(|i| tmp_dir("e13-repl", &format!("r{n}-{i}")))
+        .collect();
     let replicas: Vec<Server> = rdirs.iter().map(|d| start_replica(d, &primary)).collect();
     let head0 = pc.stats().expect("stats").wal_lsn.expect("wal");
     for r in &replicas {

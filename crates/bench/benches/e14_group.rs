@@ -22,10 +22,10 @@
 //! equal to the live state — acked durability is checked, not assumed.
 
 use std::cell::Cell;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ode_bench::{bolt, tmp_dir};
 use ode_core::Value;
 use ode_db::{
     demo, Database, DiskWal, FsyncPolicy, LogOp, ObjectId, SharedDatabase, SharedIo, StdIo,
@@ -38,25 +38,11 @@ thread_local! {
     static LAST_LSN: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e14-group-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn bolt(db: &Database, room: ObjectId) -> i64 {
-    let items = db.peek_field(room, "items").expect("items");
-    items
-        .member("bolt")
-        .and_then(Value::as_int)
-        .expect("bolt is an int")
-}
-
 /// One measured run: `committers` threads, each committing
 /// `TXNS_PER_COMMITTER` withdrawals to its own room and acking each
 /// only after `wait_durable`. Returns (txns/sec, wal stats).
 fn run(tag: &str, committers: usize, fsync: FsyncPolicy) -> (f64, WalStats) {
-    let dir = tmp_dir(tag);
+    let dir = tmp_dir("e14-group", tag);
     let cfg = WalConfig {
         fsync,
         ..WalConfig::default()

@@ -29,10 +29,11 @@
 
 use std::cell::RefCell;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ode_bench::{bolt, tmp_dir};
 use ode_core::Value;
 use ode_db::{
     demo, Database, FsyncPolicy, LogOp, ObjectId, ShardedDatabase, ShardedWal, SharedIo, StdIo,
@@ -103,20 +104,6 @@ fn ack_take() -> Vec<(usize, u64)> {
     ACKS.with(|a| std::mem::take(&mut *a.borrow_mut()))
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e15-shard-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn bolt(db: &Database, room: ObjectId) -> i64 {
-    db.peek_field(room, "items")
-        .expect("items")
-        .member("bolt")
-        .and_then(Value::as_int)
-        .expect("bolt is an int")
-}
-
 /// One measured run. Returns (acked txns/sec, total fsyncs, max batch).
 fn run(
     tag: &str,
@@ -125,7 +112,7 @@ fn run(
     fsync: FsyncPolicy,
     cross: bool,
 ) -> (f64, u64, u64) {
-    let root = tmp_dir(tag);
+    let root = tmp_dir("e15-shard", tag);
     let cfg = WalConfig {
         fsync,
         ..WalConfig::default()

@@ -27,11 +27,11 @@
 //! Results are printed as a table and written to
 //! `BENCH_e16_history.json` at the repository root.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use ode_bench::tmp_dir;
 use ode_core::{BasicEvent, Value};
 use ode_db::{
     Action, ArgPred, Batch, ClassDef, ClassId, CmpOp, Database, EventRow, EventTap, HistConfig,
@@ -46,12 +46,6 @@ const SEGMENT_ROWS: usize = 4096;
 /// Retro section: K objects x M bump transactions each.
 const RETRO_OBJECTS: usize = 128;
 const RETRO_BUMPS: usize = 64;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e16-hist-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Deterministic xorshift — the bench must not depend on wall-clock
 /// entropy.
@@ -139,7 +133,7 @@ struct QueryRun {
 /// One tier: build the store, run the three query shapes columnar and
 /// naive, assert both agree row for row.
 fn run_tier(n: u64, iters: usize) -> Vec<QueryRun> {
-    let dir = tmp_dir(&format!("q{n}"));
+    let dir = tmp_dir("e16-hist", &format!("q{n}"));
     let store = HistStore::open(
         &dir,
         HistConfig {
@@ -271,7 +265,7 @@ struct RetroRun {
 /// then every object gets a retroactive `big` activation — sub-history
 /// fetch, automaton replay, instance install, firing report.
 fn run_retro() -> RetroRun {
-    let dir = tmp_dir("retro");
+    let dir = tmp_dir("e16-hist", "retro");
     let store = Arc::new(
         HistStore::open(
             &dir,

@@ -27,18 +27,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ode_bench::tmp_dir;
 use ode_core::Value;
 use ode_db::{Database, FsyncPolicy, SharedDatabase, WalConfig};
 use ode_server::spec::stockroom_spec;
 use ode_server::{Client, ReplSource, Server};
 
 const TXNS: usize = 400;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e17-epoch-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn start_primary(dir: &Path) -> Server {
     Server::builder(SharedDatabase::new(Database::new()))
@@ -112,7 +107,7 @@ struct Row {
 }
 
 fn run_topology(topo: &Topology) -> Row {
-    let pdir = tmp_dir(&format!("{}-p", topo.name));
+    let pdir = tmp_dir("e17-epoch", &format!("{}-p", topo.name));
     let primary = start_primary(&pdir);
     let paddr = primary.tcp_addr().expect("tcp");
     let mut pc = Client::connect_tcp(paddr).expect("connect");
@@ -136,12 +131,12 @@ fn run_topology(topo: &Topology) -> Row {
     let mut mids: Vec<Server> = Vec::new();
     let mut leaves: Vec<Server> = Vec::new();
     for m in 0..topo.mids {
-        let mdir = tmp_dir(&format!("{}-m{m}", topo.name));
+        let mdir = tmp_dir("e17-epoch", &format!("{}-m{m}", topo.name));
         let mid = start_replica(&mdir, paddr);
         let maddr = mid.tcp_addr().expect("tcp");
         dirs.push(mdir);
         for l in 0..topo.leaves_per_mid {
-            let ldir = tmp_dir(&format!("{}-m{m}-l{l}", topo.name));
+            let ldir = tmp_dir("e17-epoch", &format!("{}-m{m}-l{l}", topo.name));
             leaves.push(start_replica(&ldir, maddr));
             dirs.push(ldir);
         }

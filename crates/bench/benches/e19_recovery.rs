@@ -21,10 +21,11 @@
 //! double as a smoke test: serial and parallel recoveries must decode
 //! identical op streams.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use ode_bench::tmp_dir;
 use ode_core::Value;
 use ode_db::{demo, Database, DiskWal, FsyncPolicy, LogOp, SharedIo, StdIo, WalConfig};
 
@@ -40,12 +41,6 @@ const STALL_TXNS: usize = 1_500;
 /// cores) so the bench exercises the fan-out path everywhere; the
 /// wall-clock speedup it can show is bounded by `cpus` below.
 const PAR_THREADS: usize = 8;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ode-e19-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn std_io() -> SharedIo {
     SharedIo::new(StdIo::new())
@@ -124,7 +119,7 @@ fn main() {
     eprintln!("\n== E19: WAL lifecycle (parallel recovery, archive stall, restore) ==\n");
 
     // ---- 1. Parallel recovery ------------------------------------------
-    let dir = tmp_dir("recovery");
+    let dir = tmp_dir("e19-recovery", "recovery");
     let (wal, _db) = build_log(&dir, recovery_cfg(), TXNS);
     drop(wal);
     let segments = segment_count(&dir);
@@ -150,7 +145,7 @@ fn main() {
     // Same workload in each mode; the stall is the wall-clock the
     // engine-visible checkpoint() call takes over a log with many
     // sealed segments to sweep.
-    let plain_dir = tmp_dir("stall-plain");
+    let plain_dir = tmp_dir("e19-recovery", "stall-plain");
     let (plain_wal, plain_db) = build_log(&plain_dir, cfg(false, 24 * 1024), STALL_TXNS);
     let snap = plain_db.snapshot().expect("snapshot");
     let t0 = Instant::now();
@@ -160,7 +155,7 @@ fn main() {
     drop(plain_wal);
     let _ = std::fs::remove_dir_all(&plain_dir);
 
-    let arch_dir = tmp_dir("stall-archive");
+    let arch_dir = tmp_dir("e19-recovery", "stall-archive");
     let (arch_wal, arch_db) = build_log(&arch_dir, cfg(true, 24 * 1024), STALL_TXNS);
     let raw_bytes: u64 = std::fs::read_dir(&arch_dir)
         .expect("dir")

@@ -1,4 +1,6 @@
-//! Workload generators shared by the experiment benches E1–E8.
+//! Workload generators shared by the experiment benches E1–E8, and the
+//! scratch-directory and stock-level fixtures the WAL and server
+//! benches (E12–E19) share.
 //!
 //! See `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md` (measured
 //! results). Each bench prints the table rows it regenerates via
@@ -6,8 +8,10 @@
 //! both the Criterion timings and the experiment tables.
 
 use std::fmt;
+use std::path::PathBuf;
 
 use ode_core::{BasicEvent, EventExpr, Value};
+use ode_db::{Database, ObjectId};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 /// Error returned by [`operator_family`] for a family name it does not
@@ -147,6 +151,23 @@ pub fn txn_symbol_history(spec: &TxnHistorySpec<'_>, seed: u64) -> Vec<u32> {
         });
     }
     h
+}
+
+/// A fresh, empty scratch path `ode-<bench>-<tag>-<pid>` under the
+/// system temp dir (any leftover from an earlier run is removed).
+pub fn tmp_dir(bench: &str, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ode-{bench}-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The `bolt` stock level of stock room `room`.
+pub fn bolt(db: &Database, room: ObjectId) -> i64 {
+    db.peek_field(room, "items")
+        .expect("items")
+        .member("bolt")
+        .and_then(Value::as_int)
+        .expect("bolt is an int")
 }
 
 #[cfg(test)]

@@ -226,3 +226,29 @@ pub fn setup() -> (Database, ObjectId) {
     db.take_output();
     (db, room)
 }
+
+/// A test-side [`crate::LogSink`] that records every logged op in
+/// memory — the ground truth the WAL, replication and recovery tests
+/// compare against.
+#[cfg(feature = "persistence")]
+#[derive(Clone, Default)]
+pub struct LogCollector(Arc<parking_lot::Mutex<Vec<crate::wal::LogOp>>>);
+
+#[cfg(feature = "persistence")]
+impl LogCollector {
+    /// Install a fresh collector as `db`'s log sink (replacing any
+    /// sink already installed).
+    pub fn install(db: &mut Database) -> LogCollector {
+        let c = LogCollector::default();
+        let ops = Arc::clone(&c.0);
+        db.set_log_sink(Some(Arc::new(move |op: &crate::wal::LogOp| {
+            ops.lock().push(op.clone())
+        })));
+        c
+    }
+
+    /// Take the ops recorded so far, in application order.
+    pub fn take(&self) -> Vec<crate::wal::LogOp> {
+        std::mem::take(&mut *self.0.lock())
+    }
+}

@@ -104,7 +104,7 @@ use std::time::{Duration, Instant};
 use crate::engine::Database;
 use crate::error::OdeError;
 use crate::persist::Snapshot;
-use crate::wal::{replay, LogOp, RedoLog};
+use crate::wal::{replay, LogOp};
 
 use super::archive::{self, ArchiveDrainReport};
 use super::frame;
@@ -364,12 +364,7 @@ impl Recovery {
         if let Some(snap) = &self.snapshot {
             db.restore(snap)?;
         }
-        replay(
-            db,
-            &RedoLog {
-                ops: self.ops.clone(),
-            },
-        )?;
+        replay(db, &self.ops)?;
         Ok(())
     }
 }

@@ -243,8 +243,6 @@ pub struct Database {
     router_memo: MaskMemo,
     /// Mask-memo scratch for schema postings.
     schema_memo: MaskMemo,
-    #[cfg(feature = "persistence")]
-    redo_log: Option<crate::wal::RedoLog>,
     /// Streaming observer for logged operations (see [`LogSink`]).
     #[cfg(feature = "persistence")]
     log_sink: Option<LogSink>,
@@ -291,8 +289,6 @@ impl Database {
             router_memo: MaskMemo::default(),
             schema_memo: MaskMemo::default(),
             #[cfg(feature = "persistence")]
-            redo_log: None,
-            #[cfg(feature = "persistence")]
             log_sink: None,
             firing_sink: None,
             event_tap: None,
@@ -327,26 +323,10 @@ impl Database {
         self.classes.iter().map(|c| c.name.clone()).collect()
     }
 
-    /// Start recording a logical redo log of application-level
-    /// operations (see [`crate::wal`]).
-    #[cfg(feature = "persistence")]
-    pub fn enable_logging(&mut self) {
-        if self.redo_log.is_none() {
-            self.redo_log = Some(crate::wal::RedoLog::default());
-        }
-    }
-
-    /// Stop logging and take the recorded log.
-    #[cfg(feature = "persistence")]
-    pub fn take_log(&mut self) -> Option<crate::wal::RedoLog> {
-        self.redo_log.take()
-    }
-
     /// Install (or clear) the log sink: a callback invoked synchronously
-    /// on every outermost logged operation, independent of
-    /// [`Database::enable_logging`]. When recovering from a WAL, install
-    /// the sink only *after* replaying — otherwise every replayed op
-    /// would be re-appended.
+    /// on every outermost logged operation. When recovering from a WAL,
+    /// install the sink only *after* replaying — otherwise every
+    /// replayed op would be re-appended.
     #[cfg(feature = "persistence")]
     pub fn set_log_sink(&mut self, sink: Option<LogSink>) {
         self.log_sink = sink;
@@ -354,22 +334,15 @@ impl Database {
 
     /// Record an operation — only outermost (application-level)
     /// operations are observed; nested trigger-action calls re-run
-    /// automatically during replay. The sink sees the op before it is
-    /// pushed onto any in-memory log.
+    /// automatically during replay. The op is built only when a sink is
+    /// installed.
     #[cfg(feature = "persistence")]
     fn log_op(&mut self, op: impl FnOnce() -> crate::wal::LogOp) {
         if self.entry_depth != 0 {
             return;
         }
-        if self.redo_log.is_none() && self.log_sink.is_none() {
-            return;
-        }
-        let op = op();
         if let Some(sink) = &self.log_sink {
-            sink(&op);
-        }
-        if let Some(log) = &mut self.redo_log {
-            log.ops.push(op);
+            sink(&op());
         }
     }
 

@@ -104,4 +104,4 @@ pub use sharded::{
 pub use sharded::{shard_of, to_global, to_local, ShardStats, ShardedDatabase};
 pub use shared::{SharedDatabase, SharedTxn};
 #[cfg(feature = "persistence")]
-pub use wal::{replay, LogOp, RedoLog};
+pub use wal::{replay, LogOp};

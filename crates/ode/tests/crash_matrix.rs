@@ -1,7 +1,7 @@
 //! The crash matrix: kill the process at *every* I/O operation of a
 //! scripted stockroom session and prove recovery is exact.
 //!
-//! One clean run with in-memory logging produces the ground-truth op
+//! One clean run with an in-memory log collector produces the ground-truth op
 //! list. Then, for each mutating-I/O index `k`, the same session runs
 //! against a `DiskWal` over a `FaultyIo` that dies permanently at op
 //! `k` (appends tear mid-frame, like a power cut). Recovery with a
@@ -20,9 +20,10 @@ use ode_core::event::calendar::HR;
 use ode_core::Value;
 use parking_lot::Mutex;
 
+use ode_db::demo::LogCollector;
 use ode_db::{
     demo, replay, shard_dir, Database, DiskWal, EpochRecord, EpochTable, FaultyIo, FsyncPolicy,
-    LogOp, ObjectId, RedoLog, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, WalConfig,
+    LogOp, ObjectId, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, WalConfig,
 };
 
 /// Tiny segments + fsync-per-op maximize the number of distinct I/O
@@ -163,22 +164,10 @@ fn run_session(dir: &Path, io: FaultyIo) -> u64 {
 /// stats, and the tail output.
 fn oracle(all: &[LogOp], base: usize, m: usize) -> (Database, Stats) {
     let mut db = fresh();
-    replay(
-        &mut db,
-        &RedoLog {
-            ops: all[..base].to_vec(),
-        },
-    )
-    .expect("oracle prefix replays");
+    replay(&mut db, &all[..base]).expect("oracle prefix replays");
     db.take_output();
     let s0 = db.stats();
-    replay(
-        &mut db,
-        &RedoLog {
-            ops: all[base..m].to_vec(),
-        },
-    )
-    .expect("oracle tail replays");
+    replay(&mut db, &all[base..m]).expect("oracle tail replays");
     (db, s0)
 }
 
@@ -186,9 +175,9 @@ fn oracle(all: &[LogOp], base: usize, m: usize) -> (Database, Stats) {
 fn crash_at_every_io_op_recovers_a_consistent_prefix() {
     // Ground truth: the same session recorded purely in memory.
     let mut truth = fresh();
-    truth.enable_logging();
+    let log = LogCollector::install(&mut truth);
     script(&mut truth, |_| {});
-    let all_ops = truth.take_log().expect("logging enabled").ops;
+    let all_ops = log.take();
     assert!(
         all_ops.len() > 30,
         "script is non-trivial: {}",
@@ -362,7 +351,7 @@ fn run_group_session(dir: &Path, io: FaultyIo, do_sync: bool) -> GroupRun {
 /// The in-memory ground truth for the same session.
 fn group_truth() -> Vec<LogOp> {
     let mut db = fresh();
-    db.enable_logging();
+    let log = LogCollector::install(&mut db);
     db.advance_clock_to(9 * HR);
     let t = db.begin_as(Value::Str("alice".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
@@ -370,7 +359,7 @@ fn group_truth() -> Vec<LogOp> {
     demo::withdraw_txn(&mut db, "alice", room, "bolt", 120).unwrap();
     demo::withdraw_txn(&mut db, "bob", room, "gear", 30).unwrap();
     demo::withdraw_txn(&mut db, "alice", room, "bolt", 120).unwrap();
-    db.take_log().expect("logging enabled").ops
+    log.take()
 }
 
 /// Recover `dir` with healthy I/O and check it against the truth
@@ -810,14 +799,14 @@ fn run_promote_session(dir: &Path, io: FaultyIo) -> PromoteRun {
 /// bump is appended by hand, not logged by the engine).
 fn promote_truth() -> Vec<LogOp> {
     let mut db = fresh();
-    db.enable_logging();
+    let log = LogCollector::install(&mut db);
     db.advance_clock_to(9 * HR);
     let t = db.begin_as(Value::Str("alice".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
     db.commit(t).unwrap();
     demo::withdraw_txn(&mut db, "alice", room, "bolt", 10).unwrap();
     demo::withdraw_txn(&mut db, "alice", room, "gear", 3).unwrap();
-    db.take_log().expect("logging enabled").ops
+    log.take()
 }
 
 #[test]
@@ -1020,9 +1009,9 @@ fn run_archive_session(dir: &Path, io: FaultyIo) -> (bool, Vec<String>, u64, u64
 fn archiver_crash_at_every_io_op_never_loses_a_swept_segment() {
     // Ground truth: the same session recorded purely in memory.
     let mut truth = fresh();
-    truth.enable_logging();
+    let log = LogCollector::install(&mut truth);
     script(&mut truth, |_| {});
-    let all_ops = truth.take_log().expect("logging enabled").ops;
+    let all_ops = log.take();
 
     // Fault-free counting run sizes the drain's injection window and
     // pins the expected base/head.

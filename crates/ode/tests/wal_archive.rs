@@ -26,9 +26,7 @@ use ode_core::Value;
 use parking_lot::Mutex;
 
 use ode_db::durability::{archive_dir, list_archives, read_archive, restore_to_lsn, ArchiveError};
-use ode_db::{
-    demo, replay, Database, DiskWal, FsyncPolicy, LogOp, RedoLog, SharedIo, StdIo, WalConfig,
-};
+use ode_db::{demo, replay, Database, DiskWal, FsyncPolicy, LogOp, SharedIo, StdIo, WalConfig};
 
 /// Tiny segments so the session spans many files; archiving on.
 fn archive_cfg() -> WalConfig {
@@ -137,13 +135,7 @@ fn run_session(dir: &Path, cfg: WalConfig, deferred_checkpoint: bool) -> (Vec<Lo
 /// Oracle: fresh database, replay the first `m` ground-truth ops.
 fn oracle(all: &[LogOp], m: usize) -> Database {
     let mut db = fresh();
-    replay(
-        &mut db,
-        &RedoLog {
-            ops: all[..m].to_vec(),
-        },
-    )
-    .expect("oracle replays");
+    replay(&mut db, &all[..m]).expect("oracle replays");
     db
 }
 

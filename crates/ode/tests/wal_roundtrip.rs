@@ -1,11 +1,13 @@
 //! WAL round-trip property: for random operation scripts against the
-//! stockroom demo, serializing the redo log to JSON, parsing it back,
-//! and replaying it on a fresh store with the same schema reproduces
+//! stockroom demo, serializing each logged op as the WAL's JSON line,
+//! parsing it back, and replaying the ops on a fresh store with the
+//! same schema reproduces
 //! every observable — object fields, firing output, trigger automaton
 //! states, event/firing counters, and the virtual clock.
 
 use ode_core::Value;
-use ode_db::{demo, replay, Database, ObjectId, RedoLog};
+use ode_db::demo::LogCollector;
+use ode_db::{demo, replay, Database, LogOp, ObjectId};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -84,19 +86,22 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..40)
     ) {
         let (mut db, room) = demo::setup();
-        db.enable_logging();
+        let log = LogCollector::install(&mut db);
         for op in &ops {
             apply(&mut db, room, op);
         }
-        let log = db.take_log().expect("logging enabled");
 
-        // The round trip itself must be lossless.
-        let json = log.to_json().unwrap();
-        let parsed = RedoLog::from_json(&json).unwrap();
-        prop_assert_eq!(parsed.len(), log.len());
-        prop_assert_eq!(parsed.to_json().unwrap(), json, "re-serialization is stable");
+        // The round trip itself must be lossless: each op re-serializes
+        // to the very line it was parsed from.
+        let mut parsed = Vec::new();
+        for op in log.take() {
+            let line = op.to_json_line().unwrap();
+            let back = LogOp::from_json_line(&line).unwrap();
+            prop_assert_eq!(back.to_json_line().unwrap(), line, "re-serialization is stable");
+            parsed.push(back);
+        }
 
-        // Recovery: fresh store, same schema, replay the parsed log.
+        // Recovery: fresh store, same schema, replay the parsed ops.
         let (mut db2, room2) = demo::setup();
         prop_assert_eq!(room2, room);
         replay(&mut db2, &parsed).unwrap();

@@ -2,11 +2,11 @@
 //!
 //! `BufReader::read_line` cannot be used on a socket with a read
 //! timeout: a timeout mid-line would drop the partial bytes already
-//! read. [`LineReader`] keeps the partial line across ticks, so the
-//! server can poll its shutdown flag and idle-transaction timer between
-//! reads without ever corrupting the stream, and enforces a maximum
-//! line length by switching into discard mode until the offending
-//! line's newline arrives.
+//! read. [`LineReader`] keeps the partial line across ticks (a timeout,
+//! or `WouldBlock` on the reactor's nonblocking sockets), so its caller
+//! can attend to other work between reads without ever corrupting the
+//! stream, and enforces a maximum line length by switching into
+//! discard mode until the offending line's newline arrives.
 
 use std::io::{ErrorKind, Read};
 

@@ -32,15 +32,6 @@ impl Conn {
         }
     }
 
-    /// Force blocking mode (accepted sockets may inherit the listener's
-    /// non-blocking flag on some platforms).
-    pub fn set_blocking(&self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(false),
-            Conn::Unix(s) => s.set_nonblocking(false),
-        }
-    }
-
     /// Switch non-blocking mode (the reactor runs every socket
     /// non-blocking and multiplexes readiness instead).
     pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {

@@ -481,8 +481,7 @@ pub struct WireStats {
     /// Firing notifications dropped because a subscriber's outbox or
     /// socket write failed.
     pub subscriber_drops: u64,
-    /// Connections currently open (sessions live on the reactor loop,
-    /// or legacy session threads).
+    /// Connections currently open (sessions on the reactor loop).
     pub conns_open: u64,
     /// Connections refused by the `--max-conns` accept guard with a
     /// `server_full` notice since startup.

@@ -31,8 +31,7 @@
 //! `closed`/`running` handshake so a lock is never leaked and never
 //! double-aborted. A clean EOF with queued work or unflushed replies
 //! defers teardown until both drain, so half-closing clients still
-//! receive every answer (the legacy writer thread behaved the same
-//! way).
+//! receive every answer.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -45,7 +44,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use super::outbox::{encode_frame, ConnOutbox, Notify, Sink};
+use super::outbox::{encode_frame, ConnOutbox, Notify};
 use super::poller::{Event, Interest, Poller};
 use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
@@ -164,7 +163,6 @@ fn run_batch(inner: &Arc<Shared>, st: &ConnState) {
         if st.closed.load(Ordering::SeqCst) {
             continue; // drain and drop: the peer is gone
         }
-        let sink = Sink::Ring(Arc::clone(&st.outbox));
         let mut s = st.session.lock();
         let mut open_txn = s.open_txn;
         let mut replicating = s.replicating;
@@ -173,7 +171,7 @@ fn run_batch(inner: &Arc<Shared>, st: &ConnState) {
             st.conn_id,
             &line,
             &mut open_txn,
-            &sink,
+            &st.outbox,
             &mut replicating,
         );
         s.open_txn = open_txn;
@@ -334,10 +332,9 @@ impl EventLoop {
             {
                 entry.last_heartbeat = Instant::now();
                 if let Some(ws) = &self.inner.wal {
-                    let sink = Sink::Ring(Arc::clone(&entry.state.outbox));
                     let epoch = self.inner.epochs.history_epoch();
                     for s in 0..ws.wal.shard_count() {
-                        let _ = sink.send(ServerMsg::ReplHeartbeat {
+                        let _ = entry.state.outbox.send(ServerMsg::ReplHeartbeat {
                             shard: s as u64,
                             head: ws.wal.wal(s).durable_lsn(),
                             epoch,
@@ -360,8 +357,7 @@ impl EventLoop {
         }
         for fd in expired {
             if let Some(entry) = self.conns.get(&fd) {
-                let sink = Sink::Ring(Arc::clone(&entry.state.outbox));
-                let _ = sink.send(notice(
+                let _ = entry.state.outbox.send(notice(
                     "txn_timeout",
                     "open transaction aborted after idle timeout".to_string(),
                 ));
@@ -462,8 +458,7 @@ impl EventLoop {
                 }
                 Ok(LineEvent::Tick) => break,
                 Ok(LineEvent::Overlong) => {
-                    let sink = Sink::Ring(Arc::clone(&entry.state.outbox));
-                    let _ = sink.send(notice(
+                    let _ = entry.state.outbox.send(notice(
                         "overlong",
                         format!(
                             "request line exceeds {} bytes",

@@ -1,24 +1,22 @@
-//! Per-connection outbox rings and the [`Sink`] abstraction over them.
+//! Per-connection outbox rings.
 //!
-//! A [`ConnOutbox`] is the reactor-mode replacement for the legacy
-//! per-connection writer thread + mpsc channel: producers (worker
-//! threads answering commands, the engine's firing sink running under
-//! the engine lock, each shard WAL's durable sink) enqueue *pre-
-//! serialized* frames; the event loop drains them to the socket with
-//! write-interest-driven flushing. Fan-out paths serialize a message
-//! **once** and enqueue the same `Arc<[u8]>` into every subscriber's
-//! ring, so a firing's cost under the engine lock is one JSON encode
-//! plus N pointer pushes — not N encodes and no socket I/O at all.
+//! A [`ConnOutbox`] is where every message bound for one connection
+//! goes: producers (worker threads answering commands, the engine's
+//! firing sink running under the engine lock, each shard WAL's durable
+//! sink) enqueue *pre-serialized* frames; the event loop drains them to
+//! the socket with write-interest-driven flushing. Fan-out paths
+//! serialize a message **once** and enqueue the same `Arc<[u8]>` into
+//! every subscriber's ring, so a firing's cost under the engine lock is
+//! one JSON encode plus N pointer pushes — not N encodes and no socket
+//! I/O at all.
 //!
-//! The ring is unbounded, matching the legacy unbounded channel: every
-//! accepted message is eventually written or accounted. The only
-//! messages ever *dropped* are [`ServerMsg::Firing`] notifications
-//! enqueued after the connection closed (or stranded in the ring when
-//! it dies) — exactly the cases the legacy writer counted in
+//! The ring is unbounded: every accepted message is eventually written
+//! or accounted. The only messages ever *dropped* are
+//! [`ServerMsg::Firing`] notifications enqueued after the connection
+//! closed (or stranded in the ring when it dies); those count in
 //! `subscriber_drops`.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -130,62 +128,34 @@ impl ConnOutbox {
         g.front_off = 0;
         stranded
     }
+
+    /// Deliver one message to this connection. `Err(())` means the
+    /// ring is closed (the connection is gone).
+    pub(crate) fn send(&self, msg: ServerMsg) -> Result<(), ()> {
+        self.send_shared(&msg, &SharedFrame::new())
+    }
+
+    /// Fan-out delivery: every recipient shares `frame`'s one-time
+    /// encoding of `msg`.
+    pub(crate) fn send_shared(&self, msg: &ServerMsg, frame: &SharedFrame) -> Result<(), ()> {
+        match frame.get(msg) {
+            Some(bytes) => self.push(bytes, matches!(msg, ServerMsg::Firing(_))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Serialize a message as one wire frame (line + newline). `None` if
-/// serialization fails — the legacy writer skipped such messages too.
+/// serialization fails; such a message is skipped.
 pub(crate) fn encode_frame(msg: &ServerMsg) -> Option<Arc<[u8]>> {
     let mut line = serde_json::to_string(msg).ok()?;
     line.push('\n');
     Some(Arc::from(line.into_bytes().into_boxed_slice()))
 }
 
-/// Where a session's outgoing messages go: the legacy writer-thread
-/// channel, or a reactor outbox ring. Every delivery path
-/// (`execute`, the firing sink, the replication sinks) speaks this,
-/// so both server modes share one command layer.
-#[derive(Clone)]
-pub(crate) enum Sink {
-    /// Thread-per-connection mode: an unbounded channel drained by the
-    /// connection's writer thread.
-    Channel(mpsc::Sender<ServerMsg>),
-    /// Reactor mode: a shared outbox ring drained by the event loop.
-    Ring(Arc<ConnOutbox>),
-}
-
-impl Sink {
-    /// Deliver one message to this connection. `Err(())` means the
-    /// connection is gone (channel receiver dropped / ring closed).
-    pub(crate) fn send(&self, msg: ServerMsg) -> Result<(), ()> {
-        match self {
-            Sink::Channel(tx) => tx.send(msg).map_err(|_| ()),
-            Sink::Ring(ring) => {
-                let firing = matches!(msg, ServerMsg::Firing(_));
-                match encode_frame(&msg) {
-                    Some(bytes) => ring.push(bytes, firing),
-                    None => Ok(()),
-                }
-            }
-        }
-    }
-
-    /// Fan-out delivery: ring recipients share `frame`'s one-time
-    /// encoding; channel recipients take a message clone (their writer
-    /// thread serializes).
-    pub(crate) fn send_shared(&self, msg: &ServerMsg, frame: &SharedFrame) -> Result<(), ()> {
-        match self {
-            Sink::Channel(tx) => tx.send(msg.clone()).map_err(|_| ()),
-            Sink::Ring(ring) => match frame.get(msg) {
-                Some(bytes) => ring.push(bytes, matches!(msg, ServerMsg::Firing(_))),
-                None => Ok(()),
-            },
-        }
-    }
-}
-
 /// Lazily-encoded shared frame for fan-out: encoded at most once no
-/// matter how many ring subscribers the broadcast reaches, and not at
-/// all when every subscriber is a channel.
+/// matter how many subscribers the broadcast reaches, and not at all
+/// when there are none.
 #[derive(Default)]
 pub(crate) struct SharedFrame {
     cell: std::cell::OnceCell<Option<Arc<[u8]>>>,

@@ -12,6 +12,9 @@
 //! high-water mark) — but level triggering also means interest must be
 //! *modified off* while gated, or the poller would spin hot reporting
 //! the same readiness forever.
+//!
+//! Linux test builds compile the poll(2) backend too, so one test
+//! suite runs against both.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -46,7 +49,7 @@ pub struct Event {
 }
 
 #[cfg(target_os = "linux")]
-mod sys {
+mod epoll {
     use super::{Event, Interest};
     use std::io;
     use std::os::unix::io::RawFd;
@@ -166,8 +169,8 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
+#[cfg(any(test, not(target_os = "linux")))]
+mod poll {
     use super::{Event, Interest};
     use std::collections::HashMap;
     use std::io;
@@ -261,7 +264,10 @@ mod sys {
     }
 }
 
-pub use sys::Poller;
+#[cfg(target_os = "linux")]
+pub use epoll::Poller;
+#[cfg(not(target_os = "linux"))]
+pub use poll::Poller;
 
 /// Wakes a sleeping [`Poller`] from another thread: a nonblocking
 /// socketpair whose read end the loop registers like any other fd.
@@ -361,9 +367,43 @@ mod tests {
     use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
-    #[test]
-    fn waker_wakes_and_drains() {
-        let mut poller = Poller::new().unwrap();
+    /// The surface both backends share, so one test body drives each.
+    trait Backend: Sized {
+        fn open() -> io::Result<Self>;
+        fn register(&mut self, fd: RawFd, interest: Interest) -> io::Result<()>;
+        fn reregister(&mut self, fd: RawFd, interest: Interest) -> io::Result<()>;
+        fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
+        fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()>;
+    }
+
+    macro_rules! backend {
+        ($p:ty) => {
+            impl Backend for $p {
+                fn open() -> io::Result<Self> {
+                    <$p>::new()
+                }
+                fn register(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
+                    <$p>::register(self, fd, interest)
+                }
+                fn reregister(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
+                    <$p>::reregister(self, fd, interest)
+                }
+                fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+                    <$p>::deregister(self, fd)
+                }
+                fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
+                    <$p>::wait(self, out, timeout)
+                }
+            }
+        };
+    }
+
+    #[cfg(target_os = "linux")]
+    backend!(epoll::Poller);
+    backend!(poll::Poller);
+
+    fn waker_wakes_and_drains_on<P: Backend>() {
+        let mut poller = P::open().unwrap();
         let waker = Waker::new().unwrap();
         poller.register(waker.fd(), Interest::READ).unwrap();
         let mut events = Vec::new();
@@ -381,11 +421,10 @@ mod tests {
         assert!(events.iter().all(|e| e.fd != waker.fd()));
     }
 
-    #[test]
-    fn write_interest_reported_and_rearmed() {
+    fn write_interest_reported_and_rearmed_on<P: Backend>() {
         let (a, b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
+        let mut poller = P::open().unwrap();
         poller
             .register(
                 a.as_raw_fd(),
@@ -415,5 +454,19 @@ mod tests {
         poller.deregister(a.as_raw_fd()).unwrap();
         poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert!(events.is_empty());
+    }
+
+    #[test]
+    fn waker_wakes_and_drains() {
+        #[cfg(target_os = "linux")]
+        waker_wakes_and_drains_on::<epoll::Poller>();
+        waker_wakes_and_drains_on::<poll::Poller>();
+    }
+
+    #[test]
+    fn write_interest_reported_and_rearmed() {
+        #[cfg(target_os = "linux")]
+        write_interest_reported_and_rearmed_on::<epoll::Poller>();
+        write_interest_reported_and_rearmed_on::<poll::Poller>();
     }
 }

@@ -246,7 +246,6 @@ pub(crate) fn run_replica(
                 continue;
             }
         };
-        let _ = conn.set_blocking();
         let _ = conn.set_read_timeout(Some(inner.config.poll_interval));
         let mut lines = LineReader::new(MAX_STREAM_LINE);
         let req = Request {

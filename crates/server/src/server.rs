@@ -1,10 +1,7 @@
 //! The server: reactor-served sessions over a [`SharedDatabase`].
 //!
 //! Connections are owned by the poll-driven event loop in
-//! [`crate::reactor`] (one loop thread + a worker pool); set
-//! [`ServerConfig::thread_per_conn`] to run the legacy
-//! thread-per-connection front end instead (kept as a benchmark
-//! baseline). Session semantics are identical either way.
+//! [`crate::reactor`] (one loop thread + a worker pool).
 //!
 //! ## Session model
 //!
@@ -18,10 +15,10 @@
 //!
 //! ## Robustness
 //!
-//! * Reads poll with a short timeout ([`ServerConfig::poll_interval`])
-//!   so every session notices shutdown promptly and can expire idle
-//!   transactions ([`ServerConfig::txn_idle_timeout`]) — partial lines
-//!   survive the ticks (see [`crate::codec::LineReader`]).
+//! * The loop wakes at least every [`ServerConfig::poll_interval`], so
+//!   it notices shutdown promptly and expires idle transactions
+//!   ([`ServerConfig::txn_idle_timeout`]); partial lines survive across
+//!   reads (see [`crate::codec::LineReader`]).
 //! * Malformed or overlong lines answer with a structured `id: 0` error
 //!   notice; the connection stays open and usable.
 //! * A disconnect (or shutdown) aborts the session's open transaction,
@@ -31,12 +28,11 @@
 //!
 //! The engine's firing sink runs with the engine locked, so it must
 //! never touch a socket: it serializes the [`Firing`] once and pushes
-//! the shared frame onto each subscribed connection's outbox ring
-//! (or channel, in thread-per-conn mode). The event loop drains rings
-//! to sockets as writability allows, so a slow subscriber delays only
-//! itself. Failed deliveries (a closed ring, a dead socket) are
-//! counted in the `subscriber_drops` stat rather than silently
-//! discarded.
+//! the shared frame onto each subscribed connection's outbox ring.
+//! The event loop drains rings to sockets as writability allows, so a
+//! slow subscriber delays only itself. Failed deliveries (a closed
+//! ring, a dead socket) are counted in the `subscriber_drops` stat
+//! rather than silently discarded.
 //!
 //! ## Durability
 //!
@@ -52,12 +48,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -76,15 +71,13 @@ use ode_db::{
 };
 use parking_lot::Mutex;
 
-use crate::codec::{LineEvent, LineReader};
-use crate::conn::Conn;
 use crate::protocol::{
     hex_encode, Command, Firing, Reply, ReplyResult, Request, ServerMsg, WireError, WireRow,
     WireStats,
 };
 use crate::reactor::event_loop::{start as start_reactor, ListenSocket, ReactorHandle};
-use crate::reactor::outbox::{SharedFrame, Sink};
-use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault, HEARTBEAT_INTERVAL};
+use crate::reactor::outbox::{ConnOutbox, SharedFrame};
+use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault};
 use crate::spec::{compile_class, ClassSpec};
 
 /// Server tuning knobs.
@@ -93,8 +86,10 @@ pub struct ServerConfig {
     /// Maximum request-line length in bytes; longer lines are discarded
     /// with an `overlong` notice.
     pub max_line_bytes: usize,
-    /// Read-timeout tick: how often idle sessions poll the shutdown
-    /// flag and the idle-transaction timer.
+    /// Housekeeping tick: the longest the event loop sleeps before
+    /// checking the shutdown flag, heartbeats, and idle-transaction
+    /// timers. Also the replica stream's read timeout and the
+    /// `Promote` drain's poll interval.
     pub poll_interval: Duration,
     /// Abort a session's open transaction after this much inactivity
     /// (`None` disables the timer).
@@ -102,14 +97,10 @@ pub struct ServerConfig {
     /// Refuse connections past this count with a typed `server_full`
     /// notice instead of accepting and stalling (`None` = unlimited).
     pub max_conns: Option<u64>,
-    /// Reactor mode: command-executor threads. Commands block (group-
-    /// commit fsync waits, `Promote` stream drains), so they run on
-    /// this pool rather than the event loop.
+    /// Command-executor threads. Commands block (group-commit fsync
+    /// waits, `Promote` stream drains), so they run on this pool rather
+    /// than the event loop.
     pub workers: usize,
-    /// Run the legacy thread-per-connection session model instead of
-    /// the reactor event loop. Kept as the scaling baseline for the
-    /// `e18_evloop` bench; the reactor is the default.
-    pub thread_per_conn: bool,
 }
 
 impl Default for ServerConfig {
@@ -120,12 +111,11 @@ impl Default for ServerConfig {
             txn_idle_timeout: None,
             max_conns: None,
             workers: 8,
-            thread_per_conn: false,
         }
     }
 }
 
-type Subscribers = Arc<Mutex<HashMap<u64, Sink>>>;
+type Subscribers = Arc<Mutex<HashMap<u64, Arc<ConnOutbox>>>>;
 
 /// The server's durability state (present when started with a WAL dir).
 pub(crate) struct WalState {
@@ -305,7 +295,6 @@ pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     pub(crate) subs: Subscribers,
-    pub(crate) conn_threads: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) next_conn: AtomicU64,
     pub(crate) wal: Option<Arc<WalState>>,
     /// Primary-election epoch state (always present; durable when the
@@ -314,7 +303,7 @@ pub(crate) struct Shared {
     /// Firing notifications that never reached a subscriber (outbox
     /// gone or socket write failed).
     pub(crate) subscriber_drops: Arc<AtomicU64>,
-    /// Live connections (both server modes).
+    /// Live connections.
     pub(crate) conns_open: AtomicU64,
     /// Connections refused by the `max_conns` accept guard.
     pub(crate) conns_rejected: AtomicU64,
@@ -471,7 +460,7 @@ impl ServerBuilder {
     }
 
     /// Bind the listeners, recover the WAL directory (if configured),
-    /// install the firing and log sinks, and start the accept threads.
+    /// install the firing and log sinks, and start the reactor.
     pub fn start(self) -> std::io::Result<Server> {
         let is_replica = !self.replicate_from.is_empty();
         let n = self.shards;
@@ -756,7 +745,7 @@ impl ServerBuilder {
                 let msg = ServerMsg::Firing(Firing::from_notice(notice, s, n));
                 // This closure runs with the engine locked: serialize
                 // the frame once, then fan out pointer pushes only —
-                // the loop (or writer threads) do the socket I/O.
+                // the event loop does the socket I/O.
                 let frame = SharedFrame::new();
                 for tx in sink_subs.lock().values() {
                     if tx.send_shared(&msg, &frame).is_err() {
@@ -780,7 +769,6 @@ impl ServerBuilder {
             config: self.config,
             shutdown: AtomicBool::new(false),
             subs,
-            conn_threads: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
             wal,
             epochs,
@@ -804,20 +792,13 @@ impl ServerBuilder {
             }));
         }
 
-        let mut accept_threads = Vec::new();
         let mut listeners: Vec<ListenSocket> = Vec::new();
-        let thread_per_conn = inner.config.thread_per_conn;
         let mut tcp_addr = None;
         if let Some(addr) = &self.tcp {
             let listener = TcpListener::bind(addr.as_str())?;
             listener.set_nonblocking(true)?;
             tcp_addr = Some(listener.local_addr()?);
-            if thread_per_conn {
-                let inner2 = Arc::clone(&inner);
-                accept_threads.push(thread::spawn(move || accept_tcp(inner2, listener)));
-            } else {
-                listeners.push(ListenSocket::Tcp(listener));
-            }
+            listeners.push(ListenSocket::Tcp(listener));
         }
         let mut unix_path = None;
         if let Some(path) = &self.unix {
@@ -827,14 +808,9 @@ impl ServerBuilder {
             let listener = UnixListener::bind(path)?;
             listener.set_nonblocking(true)?;
             unix_path = Some(path.clone());
-            if thread_per_conn {
-                let inner2 = Arc::clone(&inner);
-                accept_threads.push(thread::spawn(move || accept_unix(inner2, listener)));
-            } else {
-                listeners.push(ListenSocket::Unix(listener));
-            }
+            listeners.push(ListenSocket::Unix(listener));
         }
-        let reactor = if thread_per_conn || listeners.is_empty() {
+        let reactor = if listeners.is_empty() {
             None
         } else {
             Some(start_reactor(Arc::clone(&inner), listeners)?)
@@ -842,7 +818,6 @@ impl ServerBuilder {
 
         Ok(Server {
             inner,
-            accept_threads,
             reactor,
             repl_thread,
             wal_flushers,
@@ -857,7 +832,6 @@ impl ServerBuilder {
 /// A running server. Dropping it shuts it down (joining all threads).
 pub struct Server {
     inner: Arc<Shared>,
-    accept_threads: Vec<JoinHandle<()>>,
     reactor: Option<ReactorHandle>,
     repl_thread: Option<JoinHandle<()>>,
     wal_flushers: Vec<WalFlusher>,
@@ -926,9 +900,6 @@ impl Server {
         if let Some(h) = self.repl_thread.take() {
             let _ = h.join();
         }
-        for h in self.accept_threads.drain(..) {
-            let _ = h.join();
-        }
         if let Some(mut r) = self.reactor.take() {
             // Wake the loop so it notices the flag; it tears down
             // every connection and exits, dropping the worker
@@ -940,10 +911,6 @@ impl Server {
             for h in r.workers.drain(..) {
                 let _ = h.join();
             }
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.conn_threads.lock());
-        for h in handles {
-            let _ = h.join();
         }
         for shard in self.inner.db.shards() {
             shard.set_firing_sink(None);
@@ -980,66 +947,12 @@ impl Drop for Server {
     }
 }
 
-fn accept_tcp(inner: Arc<Shared>, listener: TcpListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_session(&inner, Conn::Tcp(stream)),
-            Err(_) => thread::sleep(inner.config.poll_interval),
-        }
-    }
-}
-
-fn accept_unix(inner: Arc<Shared>, listener: UnixListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_session(&inner, Conn::Unix(stream)),
-            Err(_) => thread::sleep(inner.config.poll_interval),
-        }
-    }
-}
-
-fn spawn_session(inner: &Arc<Shared>, conn: Conn) {
-    if let Some(max) = inner.config.max_conns {
-        if inner.conns_open.load(Ordering::SeqCst) >= max {
-            inner.conns_rejected.fetch_add(1, Ordering::SeqCst);
-            let mut c = conn;
-            if let Ok(mut line) = serde_json::to_string(&ServerMsg::Reply {
-                id: 0,
-                result: ReplyResult::Err(WireError {
-                    code: "server_full".to_string(),
-                    message: format!("connection limit ({max}) reached; retry later"),
-                    retryable: true,
-                }),
-            }) {
-                line.push('\n');
-                let _ = c.write_all(line.as_bytes());
-            }
-            c.shutdown_both();
-            return;
-        }
-    }
-    let conn_id = inner.next_conn.fetch_add(1, Ordering::SeqCst) + 1;
-    let write_conn = match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => return,
-    };
-    inner.conns_open.fetch_add(1, Ordering::SeqCst);
-    let (tx, rx) = mpsc::channel::<ServerMsg>();
-    let drops = Arc::clone(&inner.subscriber_drops);
-    let writer = thread::spawn(move || writer_loop(write_conn, rx, drops));
-    let inner2 = Arc::clone(inner);
-    let reader = thread::spawn(move || session_loop(inner2, conn_id, conn, Sink::Channel(tx)));
-    inner.conn_threads.lock().extend([writer, reader]);
-}
-
 /// Drop every server-side registration a connection holds: its
 /// subscription entry, its per-shard replication-stream entries, and
-/// its slot in the open-connection count. Both server modes and every
-/// disconnect path (shutdown, peer EOF, socket error) funnel through
-/// here, so a teardown can never leak a registration. The session's
-/// open transaction is released separately by whoever owns the session
-/// state at teardown time (the reactor's reap handshake or the legacy
-/// session loop's tail).
+/// its slot in the open-connection count. Every disconnect path
+/// (shutdown, peer EOF, socket error) funnels through here, so a
+/// teardown can never leak a registration. The session's open
+/// transaction is released separately, by the reactor's reap handshake.
 pub(crate) fn release_session(inner: &Shared, conn_id: u64) {
     inner.subs.lock().remove(&conn_id);
     if let Some(ws) = &inner.wal {
@@ -1048,27 +961,6 @@ pub(crate) fn release_session(inner: &Shared, conn_id: u64) {
         }
     }
     inner.conns_open.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Drain the outbox to the socket; exits when every sender (session
-/// loop + subscription entry) is gone or the peer stops reading. Firing
-/// notifications stranded by a dead socket count as subscriber drops.
-fn writer_loop(mut conn: Conn, rx: mpsc::Receiver<ServerMsg>, drops: Arc<AtomicU64>) {
-    while let Ok(msg) = rx.recv() {
-        let Ok(mut line) = serde_json::to_string(&msg) else {
-            continue;
-        };
-        line.push('\n');
-        if conn.write_all(line.as_bytes()).is_err() {
-            let stranded = std::iter::once(msg)
-                .chain(rx.try_iter())
-                .filter(|m| matches!(m, ServerMsg::Firing(_)))
-                .count();
-            drops.fetch_add(stranded as u64, Ordering::Relaxed);
-            break;
-        }
-    }
-    conn.shutdown_both();
 }
 
 pub(crate) fn notice(code: &str, message: String) -> ServerMsg {
@@ -1082,78 +974,12 @@ pub(crate) fn notice(code: &str, message: String) -> ServerMsg {
     }
 }
 
-fn session_loop(inner: Arc<Shared>, conn_id: u64, mut conn: Conn, tx: Sink) {
-    let _ = conn.set_blocking();
-    let _ = conn.set_read_timeout(Some(inner.config.poll_interval));
-    let mut lines = LineReader::new(inner.config.max_line_bytes);
-    let mut open_txn: Option<TxnId> = None;
-    let mut last_activity = Instant::now();
-    // Set once this connection sends `Replicate`; the session then
-    // reports the head periodically so an idle replica tracks lag.
-    let mut replicating = false;
-    let mut last_heartbeat = Instant::now();
-
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if replicating && last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
-            last_heartbeat = Instant::now();
-            if let Some(ws) = &inner.wal {
-                // The heads a replica should chase are the durable
-                // ones: buffered-but-unflushed records aren't
-                // shippable yet. One report per shard stream.
-                let epoch = inner.epochs.history_epoch();
-                for s in 0..ws.wal.shard_count() {
-                    let _ = tx.send(ServerMsg::ReplHeartbeat {
-                        shard: s as u64,
-                        head: ws.wal.wal(s).durable_lsn(),
-                        epoch,
-                    });
-                }
-            }
-        }
-        if let (Some(t), Some(limit)) = (open_txn, inner.config.txn_idle_timeout) {
-            if last_activity.elapsed() >= limit {
-                let _ = inner.db.abort(t);
-                open_txn = None;
-                let _ = tx.send(notice(
-                    "txn_timeout",
-                    "open transaction aborted after idle timeout".to_string(),
-                ));
-            }
-        }
-        match lines.read_event(&mut conn) {
-            Ok(LineEvent::Line(line)) => {
-                last_activity = Instant::now();
-                handle_line(&inner, conn_id, &line, &mut open_txn, &tx, &mut replicating);
-            }
-            Ok(LineEvent::Tick) => continue,
-            Ok(LineEvent::Overlong) => {
-                let _ = tx.send(notice(
-                    "overlong",
-                    format!("request line exceeds {} bytes", inner.config.max_line_bytes),
-                ));
-            }
-            Ok(LineEvent::Eof) | Err(_) => break,
-        }
-    }
-
-    // Disconnect (or shutdown): release everything the session held.
-    release_session(&inner, conn_id);
-    if let Some(t) = open_txn {
-        let _ = inner.db.abort(t);
-    }
-    conn.shutdown_both();
-    // `tx` drops here; the writer flushes its queue and exits.
-}
-
 pub(crate) fn handle_line(
     inner: &Arc<Shared>,
     conn_id: u64,
     line: &str,
     open_txn: &mut Option<TxnId>,
-    tx: &Sink,
+    tx: &Arc<ConnOutbox>,
     replicating: &mut bool,
 ) {
     if line.trim().is_empty() {
@@ -1327,7 +1153,7 @@ fn execute(
     req_id: u64,
     cmd: Command,
     open_txn: &mut Option<TxnId>,
-    tx: &Sink,
+    tx: &Arc<ConnOutbox>,
     replicating: &mut bool,
 ) -> Result<Reply, WireError> {
     if let Some(ws) = &inner.wal {
@@ -1805,7 +1631,7 @@ fn execute(
             })))
         }
         Command::Subscribe => {
-            inner.subs.lock().insert(conn_id, tx.clone());
+            inner.subs.lock().insert(conn_id, Arc::clone(tx));
             Ok(Reply::Unit)
         }
         Command::Unsubscribe => {
@@ -1994,7 +1820,7 @@ fn execute(
                                     epoch: my_epoch,
                                 });
                             }
-                            ws.repl_subs[s].lock().insert(conn_id, tx.clone());
+                            ws.repl_subs[s].lock().insert(conn_id, Arc::clone(tx));
                             Ok((start_lsn, head))
                         })?;
                 start_lsns.push(start_lsn);
