@@ -3,13 +3,13 @@
 //! baseline, plus on-disk log size and cold recovery time.
 //!
 //! Every committed transaction streams its ops through the engine's
-//! log sink into a `DiskWal` (CRC-framed, segment-rotated). The fsync
-//! policy is the knob that trades durability for speed:
+//! log sink into a `DiskWal` (CRC-framed, segment-rotated), and the
+//! sink waits for each commit record to be durable — the ack rule a
+//! server applies. The fsync policy is the knob that trades durability
+//! for speed:
 //!
-//! * `always`   — fsync per op: no committed *op* is ever lost.
-//! * `commit`   — group commit: fsync at txn boundaries.
-//! * `every64`  — fsync every 64 ops: bounded loss window.
-//! * `never`    — appends only; rotation/checkpoint still sync.
+//! * `commit`   — one write + one fsync per transaction.
+//! * `never`    — one write per transaction, no fsync.
 //!
 //! Results are printed as a table and written to `BENCH_e12_wal.json`
 //! at the repository root. Each run ends with a recovery pass whose
@@ -52,7 +52,12 @@ fn run_policy(tag: &str, fsync: FsyncPolicy) -> (f64, u64, f64) {
     db.define_class(demo::stockroom_class()).unwrap();
     let sink_wal = Arc::clone(&wal);
     db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.lock().unwrap().append(op);
+        let wal = sink_wal.lock().unwrap();
+        if let Ok(lsn) = wal.append(op) {
+            if op.ends_txn() {
+                let _ = wal.wait_durable(lsn);
+            }
+        }
     })));
     let t = db.begin_as(Value::Str("admin".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
@@ -103,9 +108,7 @@ fn main() {
     json.push_str("  \"policies\": [\n");
 
     let policies = [
-        ("always", FsyncPolicy::Always),
-        ("commit", FsyncPolicy::OnCommit),
-        ("every64", FsyncPolicy::EveryN(64)),
+        ("commit", FsyncPolicy::commit()),
         ("never", FsyncPolicy::Never),
     ];
     for (i, (tag, fsync)) in policies.iter().enumerate() {

@@ -10,12 +10,16 @@
 //! `wait_durable` before counting — the same ack rule a server client
 //! sees — and the policies differ only in who fsyncs and when:
 //!
-//! * `commit`  — `OnCommit` through the flusher: one fsync per commit,
-//!   off-thread but unbatched. The durability baseline.
+//! * `commit`  — `Group { max_batch: 1, max_delay: 0 }`: each committer
+//!   flushes its own batch, one fsync per flush. The durability
+//!   baseline.
 //! * `group`   — `Group { max_batch: N, max_delay: 500µs }`: one fsync
 //!   covers every commit that arrived while the previous one ran.
-//! * `every64` — inline, fsync every 64 ops: bounded loss window.
-//! * `never`   — inline appends only: the no-durability ceiling.
+//! * `never`   — the same pipeline without the fsync: the
+//!   no-durability ceiling.
+//!
+//! The `every64` rows in older `BENCH_e14_group.json` files came from
+//! an inline write-on-append policy that no longer exists.
 //!
 //! Results are printed as a table and written to `BENCH_e14_group.json`
 //! at the repository root. Each run ends with a recovery pass asserted
@@ -102,9 +106,7 @@ fn run(tag: &str, committers: usize, fsync: FsyncPolicy) -> (f64, WalStats) {
     .unwrap();
     let secs = t0.elapsed().as_secs_f64();
 
-    if let Some(f) = flusher {
-        f.stop();
-    }
+    flusher.stop();
     wal.sync().expect("final sync");
     assert!(wal.poisoned().is_none());
     let stats = wal.stats();
@@ -139,7 +141,7 @@ fn main() {
     let mut rows = Vec::new();
     for &committers in &[1usize, 4, 8] {
         let policies = [
-            ("commit", FsyncPolicy::OnCommit),
+            ("commit", FsyncPolicy::commit()),
             (
                 "group",
                 FsyncPolicy::Group {
@@ -147,7 +149,6 @@ fn main() {
                     max_delay: Duration::from_micros(500),
                 },
             ),
-            ("every64", FsyncPolicy::EveryN(64)),
             ("never", FsyncPolicy::Never),
         ];
         let mut commit_tps = 0.0;

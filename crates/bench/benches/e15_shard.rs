@@ -261,7 +261,7 @@ fn main() {
     for (workload, cross) in [("disjoint", false), ("cross", true)] {
         for &committers in &[1usize, 4, 8] {
             for (policy, fsync) in [
-                ("commit", FsyncPolicy::OnCommit),
+                ("commit", FsyncPolicy::commit()),
                 (
                     "group",
                     FsyncPolicy::Group {

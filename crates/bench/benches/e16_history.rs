@@ -75,7 +75,7 @@ fn feed(store: &HistStore, n: u64) {
             let r = xorshift(&mut rng);
             let obj = r % OBJECTS + 1;
             let v = (r >> 8) % 1000;
-            let in_alarm_window = seq > alarm_lo && seq <= alarm_hi && seq % 4 == 0;
+            let in_alarm_window = seq > alarm_lo && seq <= alarm_hi && seq.is_multiple_of(4);
             let (basic, args) = if in_alarm_window {
                 (
                     BasicEvent::after_method("alarm"),

@@ -252,3 +252,19 @@ impl LogCollector {
         std::mem::take(&mut *self.0.lock())
     }
 }
+
+/// A test-side [`crate::LogSink`] that makes each op durable before the
+/// engine moves on: `append`, then `wait_durable` on its LSN. With no
+/// flusher running, every op costs one write plus (unless the policy is
+/// `never`) one fsync — the per-op I/O sequence the crash tests
+/// enumerate. Errors are swallowed: the WAL poisons itself, and the
+/// session (like a real server) keeps running un-durably until someone
+/// checks its health.
+#[cfg(feature = "persistence")]
+pub fn durable_sink(wal: crate::durability::DiskWal) -> crate::LogSink {
+    Arc::new(move |op: &crate::wal::LogOp| {
+        if let Ok(lsn) = wal.append(op) {
+            let _ = wal.wait_durable(lsn);
+        }
+    })
+}

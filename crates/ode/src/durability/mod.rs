@@ -42,5 +42,5 @@ pub use io::{Fault, FaultyIo, SharedIo, StdIo, WalIo};
 pub use reader::{SegmentReader, TornTail};
 pub use wal::{
     ArchiveStats, CheckpointReport, DiskWal, DurableRecord, DurableSink, FsyncPolicy, Recovery,
-    RecoveryReport, SegmentTiming, WalArchiver, WalConfig, WalError, WalFlusher, WalStats,
+    RecoveryReport, WalArchiver, WalConfig, WalError, WalFlusher, WalStats,
 };

@@ -1,7 +1,7 @@
 //! [`SegmentReader`]: a read-only, LSN-addressed view of a WAL
-//! directory — the scanning half of recovery, extracted so the
-//! replication shipper can iterate committed records without owning
-//! (or mutating) the log.
+//! directory — the one reader of the log. Recovery parses its records
+//! into ops; the replication shipper iterates them without owning (or
+//! mutating) the log.
 //!
 //! One scan resolves the directory's newest checkpoint generation, its
 //! decoded checkpoint payload, and every framed record after it, each
@@ -56,9 +56,8 @@ pub struct TornTail {
 
 /// The name-level resolution of one WAL directory: which generation is
 /// live, where its base LSN sits, and which files belong to it — no
-/// file bodies read. Shared by the serial scan and the parallel
-/// recovery pipeline in [`super::wal::DiskWal`].
-pub(crate) struct DirIndex {
+/// file bodies read. The first step of [`SegmentReader::scan`].
+struct DirIndex {
     /// The generation the index resolved (the newest one with a
     /// checkpoint; 0 when the directory has never checkpointed).
     pub generation: u64,
@@ -75,7 +74,7 @@ pub(crate) struct DirIndex {
 /// Resolve `dir`'s live generation from file names alone. Fails with
 /// [`WalError::Corrupt`] when the live generation's segment indexes are
 /// not contiguous from 0.
-pub(crate) fn index_dir(dir: &Path, io: &SharedIo) -> Result<DirIndex, WalError> {
+fn index_dir(dir: &Path, io: &SharedIo) -> Result<DirIndex, WalError> {
     let names = io.with(|f| f.list(dir))?;
 
     // Newest generation with a checkpoint wins; its filename gives
@@ -129,7 +128,7 @@ pub(crate) fn index_dir(dir: &Path, io: &SharedIo) -> Result<DirIndex, WalError>
 /// Read and unwrap a checkpoint file: exactly one clean frame (it was
 /// written to a tmp file, fsynced, and renamed — it can never be
 /// legitimately torn).
-pub(crate) fn read_checkpoint(dir: &Path, io: &SharedIo, name: &str) -> Result<Vec<u8>, WalError> {
+fn read_checkpoint(dir: &Path, io: &SharedIo, name: &str) -> Result<Vec<u8>, WalError> {
     let bytes = io.with(|f| f.read(&dir.join(name)))?;
     let (mut payloads, tail) = frame::decode_all(&bytes)
         .map_err(|c| WalError::Corrupt(format!("checkpoint {name}: bad frame at {}", c.offset)))?;

@@ -75,8 +75,8 @@ pub use clock::{Clock, Recurrence, Timer, TimerScope};
 pub use durability::{
     restore_to_lsn, ArchiveDrainReport, ArchiveError, ArchiveMeta, ArchiveSegment, ArchiveStats,
     CheckpointReport, DiskWal, DurableRecord, DurableSink, EpochRecord, EpochTable, Fault,
-    FaultyIo, FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo,
-    TornTail, WalArchiver, WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
+    FaultyIo, FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SharedIo, StdIo, TornTail,
+    WalArchiver, WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
 };
 #[cfg(feature = "persistence")]
 pub use engine::LogSink;

@@ -171,12 +171,18 @@ impl LogOp {
             .map_err(|e| OdeError::Method(format!("log op deserialization failed: {e}")))
     }
 
-    /// Does this op end a transaction? (Commit or abort — the points an
-    /// `OnCommit` fsync policy must make durable.)
+    /// Does this op end a unit of work a session acks? Commits and
+    /// aborts end a transaction; a clock advance is its own unit — it
+    /// commits the timer firings it causes in system transactions, which
+    /// replay re-runs from this one record (§3.1). Group commit counts
+    /// these records toward `max_batch`.
     pub fn ends_txn(&self) -> bool {
         matches!(
             self,
-            LogOp::Commit { .. } | LogOp::Commit2pc { .. } | LogOp::Abort { .. }
+            LogOp::Commit { .. }
+                | LogOp::Commit2pc { .. }
+                | LogOp::Abort { .. }
+                | LogOp::AdvanceClock { .. }
         )
     }
 }

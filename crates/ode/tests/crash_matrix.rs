@@ -18,7 +18,6 @@ use std::time::Duration;
 
 use ode_core::event::calendar::HR;
 use ode_core::Value;
-use parking_lot::Mutex;
 
 use ode_db::demo::LogCollector;
 use ode_db::{
@@ -26,12 +25,13 @@ use ode_db::{
     LogOp, ObjectId, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, WalConfig,
 };
 
-/// Tiny segments + fsync-per-op maximize the number of distinct I/O
+/// Tiny segments + fsync-per-op (every session below logs through
+/// [`demo::durable_sink`]) maximize the number of distinct I/O
 /// operations (and therefore crash points) the session generates.
 fn cfg() -> WalConfig {
     WalConfig {
         segment_bytes: 256,
-        fsync: FsyncPolicy::Always,
+        fsync: FsyncPolicy::commit(),
         archive: false,
     }
 }
@@ -140,20 +140,13 @@ fn run_session(dir: &Path, io: FaultyIo) -> u64 {
     let (wal, recovery) =
         DiskWal::open(dir, cfg(), shared).expect("open on an empty dir cannot fail");
     assert!(recovery.is_empty());
-    let wal = Arc::new(Mutex::new(wal));
 
     let mut db = fresh();
-    let sink_wal = Arc::clone(&wal);
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        // The sink swallows errors: the WAL poisons itself and the
-        // session (like a real server) keeps running un-durably until
-        // someone checks its health.
-        let _ = sink_wal.lock().append(op);
-    })));
+    db.set_log_sink(Some(demo::durable_sink(wal.clone())));
 
     script(&mut db, |db| {
         if let Ok(snap) = db.snapshot() {
-            let _ = wal.lock().checkpoint(&snap);
+            let _ = wal.checkpoint(&snap);
         }
     });
     ops.load(Ordering::SeqCst)
@@ -189,7 +182,7 @@ fn crash_at_every_io_op_recovers_a_consistent_prefix() {
     let total_io_ops = run_session(&dir, FaultyIo::counting());
     assert!(
         total_io_ops > 60,
-        "tiny segments + Always fsync yield many crash points, got {total_io_ops}"
+        "tiny segments + one fsync per op yield many crash points, got {total_io_ops}"
     );
 
     // The fault-free run must recover everything, through the mid-run
@@ -752,10 +745,7 @@ fn run_promote_session(dir: &Path, io: FaultyIo) -> PromoteRun {
     assert!(recovery.is_empty());
 
     let mut db = fresh();
-    let sink_wal = wal.clone();
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.append(op);
-    })));
+    db.set_log_sink(Some(demo::durable_sink(wal.clone())));
 
     db.advance_clock_to(9 * HR);
     let t = db.begin_as(Value::Str("alice".into()));
@@ -982,10 +972,7 @@ fn run_archive_session(dir: &Path, io: FaultyIo) -> (bool, Vec<String>, u64, u64
     let (wal, recovery) = DiskWal::open(dir, archive_cfg(), shared).expect("open empty dir");
     assert!(recovery.is_empty());
     let mut db = fresh();
-    let sink_wal = wal.clone();
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.append(op);
-    })));
+    db.set_log_sink(Some(demo::durable_sink(wal.clone())));
     let ckpt_wal = wal.clone();
     script(&mut db, |db| {
         if let Ok(snap) = db.snapshot() {

@@ -131,7 +131,7 @@ fn records_from_iterates_across_segment_rotation() {
     let dir = tmp_dir("tailing");
     let cfg = WalConfig {
         segment_bytes: 128,
-        fsync: FsyncPolicy::Always,
+        fsync: FsyncPolicy::commit(),
         archive: false,
     };
     let (wal, _) = DiskWal::open(&dir, cfg, std_io()).unwrap();
@@ -153,6 +153,7 @@ fn records_from_iterates_across_segment_rotation() {
         wal.append(op).unwrap();
     }
     assert_eq!(wal.lsn(), 12);
+    wal.sync().unwrap();
     drop(wal);
 
     let scan = SegmentReader::scan(&dir, &std_io()).unwrap();

@@ -82,7 +82,7 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
     };
     let (wal, recovery) = DiskWal::open(&dir, cfg, SharedIo::new(StdIo::new())).unwrap();
     assert!(recovery.is_empty());
-    let flusher = wal.start_flusher().expect("group policy runs a flusher");
+    let flusher = wal.start_flusher();
 
     let shared = SharedDatabase::new(fresh()).with_max_retries(100_000);
     let sink_wal = wal.clone();

@@ -506,12 +506,14 @@ fn trigger_states(db: &Database, obj: ObjectId) -> Vec<(usize, u32, bool)> {
     v
 }
 
+/// One committed firing: (txn, trigger, completing event, args).
+type FiringRow = (u64, String, String, Vec<Value>);
+
 #[test]
 fn retro_activation_matches_live_since_inception() {
     // Live side: triggers active from creation; collect committed
     // firings (notices carry the completing event + args).
-    let firings: Arc<Mutex<Vec<(u64, String, String, Vec<Value>)>>> =
-        Arc::new(Mutex::new(Vec::new()));
+    let firings: Arc<Mutex<Vec<FiringRow>>> = Arc::new(Mutex::new(Vec::new()));
     let committed_txns: Arc<Mutex<std::collections::HashSet<u64>>> =
         Arc::new(Mutex::new(std::collections::HashSet::new()));
     let mut live = Database::new();

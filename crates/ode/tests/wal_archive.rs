@@ -28,11 +28,12 @@ use parking_lot::Mutex;
 use ode_db::durability::{archive_dir, list_archives, read_archive, restore_to_lsn, ArchiveError};
 use ode_db::{demo, replay, Database, DiskWal, FsyncPolicy, LogOp, SharedIo, StdIo, WalConfig};
 
-/// Tiny segments so the session spans many files; archiving on.
+/// Tiny segments so the session spans many files; archiving on. The
+/// sessions log through [`demo::durable_sink`], one fsync per op.
 fn archive_cfg() -> WalConfig {
     WalConfig {
         segment_bytes: 256,
-        fsync: FsyncPolicy::Always,
+        fsync: FsyncPolicy::commit(),
         archive: true,
     }
 }
@@ -102,10 +103,10 @@ fn run_session(dir: &Path, cfg: WalConfig, deferred_checkpoint: bool) -> (Vec<Lo
     assert!(recovery.is_empty());
     let mut db = fresh();
     let truth: Arc<Mutex<Vec<LogOp>>> = Arc::new(Mutex::new(Vec::new()));
-    let (sink_wal, sink_truth) = (wal.clone(), Arc::clone(&truth));
+    let (durable, sink_truth) = (demo::durable_sink(wal.clone()), Arc::clone(&truth));
     db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
         sink_truth.lock().push(op.clone());
-        let _ = sink_wal.append(op);
+        durable(op);
     })));
 
     let t = db.begin_as(Value::Str("alice".into()));
@@ -279,10 +280,7 @@ fn background_archiver_drains_after_checkpoint() {
     let archiver = wal.start_archiver().expect("archive mode spawns");
 
     let mut db = fresh();
-    let sink_wal = wal.clone();
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.append(op);
-    })));
+    db.set_log_sink(Some(demo::durable_sink(wal.clone())));
     let t = db.begin_as(Value::Str("alice".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
     db.commit(t).unwrap();
@@ -326,10 +324,7 @@ fn plain_mode_has_no_archiver_and_a_deferred_sweep() {
     assert!(recovery.is_empty());
     assert!(wal.start_archiver().is_none(), "plain mode: no archiver");
     let mut db = fresh();
-    let sink_wal = wal.clone();
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.append(op);
-    })));
+    db.set_log_sink(Some(demo::durable_sink(wal.clone())));
     let t = db.begin_as(Value::Str("alice".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
     db.commit(t).unwrap();

@@ -502,11 +502,11 @@ pub struct WireStats {
     /// WAL). With group commit this grows far slower than
     /// `txns_committed` — that gap is the batching win.
     pub fsyncs_total: u64,
-    /// Group-commit flush cycles completed (`0` under inline fsync
-    /// policies).
+    /// Flush cycles that wrote at least one record (`0` without a
+    /// WAL).
     pub group_commit_batches: u64,
-    /// The most commits/aborts ever made durable by one fsync — `>1`
-    /// proves batching engaged.
+    /// The most commits, aborts and clock advances made durable by one
+    /// flush — `>1` proves batching engaged.
     pub group_commit_max_batch: u64,
     /// Whether this server was started as a replica
     /// (`--replicate-from`). Stays `true` after promotion.

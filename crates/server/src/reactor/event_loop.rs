@@ -71,7 +71,14 @@ impl ListenSocket {
 
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            ListenSocket::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            ListenSocket::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                // A line written right after another (a query's
+                // `QueryDone` after its `Rows`, a firing burst) must not
+                // wait out the peer's delayed ACK.
+                let _ = s.set_nodelay(true);
+                Ok(Conn::Tcp(s))
+            }
             ListenSocket::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
     }
@@ -645,4 +652,21 @@ fn reject_full(conn: Conn, max: u64) {
         return;
     }
     conn.shutdown_both();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_connections_disable_nagle() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap();
+        let listener = ListenSocket::Tcp(l);
+        let _client = std::net::TcpStream::connect(addr).unwrap();
+        match listener.accept().unwrap() {
+            Conn::Tcp(s) => assert!(s.nodelay().unwrap(), "Nagle still on"),
+            _ => panic!("a TCP listener accepted a non-TCP connection"),
+        }
+    }
 }

@@ -32,7 +32,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn cfg() -> WalConfig {
     WalConfig {
         segment_bytes: 512,
-        fsync: FsyncPolicy::Always,
+        fsync: FsyncPolicy::commit(),
         archive: false,
     }
 }

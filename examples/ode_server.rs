@@ -17,9 +17,9 @@
 //! directory written with one shard count refuses another). With
 //! `--wal-dir DIR` every engine op is written to a crash-safe log in
 //! DIR, the directory is recovered on startup, and clients may issue
-//! `Checkpoint`; `--fsync` picks the append durability (`always`,
-//! `commit` [default], `group` or `group:BATCH:DELAYMS` for batched
-//! group commit, `never`, or a number N for every-N-ops). With
+//! `Checkpoint`; `--fsync` picks when flushed batches are fsynced
+//! (`commit` [default, one fsync per transaction], `group` or
+//! `group:BATCH:DELAYMS` for batched group commit, or `never`). With
 //! `--history` (requires `--wal-dir`) every committed event is also
 //! indexed into a per-shard columnar history store under
 //! `DIR/hist`, enabling `Query` over past events and retroactive
@@ -62,7 +62,7 @@ fn main() {
     let mut seconds: Option<u64> = None;
     let mut wal_dir: Option<String> = None;
     let mut replicate_from: Vec<ReplSource> = Vec::new();
-    let mut fsync = FsyncPolicy::OnCommit;
+    let mut fsync = FsyncPolicy::commit();
     let mut shards: usize = 1;
     let mut history = false;
     let mut max_conns: Option<u64> = None;
@@ -114,7 +114,7 @@ fn main() {
                     "unknown flag {other}; use --tcp ADDR, --unix PATH, --seconds N, \
                      --wal-dir DIR, --history, --wal-archive, --wal-restore LSN, \
                      --replicate-from SRC[,FALLBACK...], --shards N, \
-                     --max-conns N, --fsync always|commit|group|group:BATCH:DELAYMS|never|N"
+                     --max-conns N, --fsync commit|group|group:BATCH:DELAYMS|never"
                 );
                 std::process::exit(2);
             }
